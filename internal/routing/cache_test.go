@@ -13,6 +13,7 @@ import (
 	"mccmesh/internal/mesh"
 	"mccmesh/internal/region"
 	"mccmesh/internal/rng"
+	"mccmesh/internal/telemetry"
 )
 
 // TestFieldCacheEpochInvalidation: after a fault injection flows through the
@@ -220,5 +221,44 @@ func TestFieldCacheEpochInvalidationOnRepair(t *testing.T) {
 		if got, want := o.Allowed(qq.u, qq.v, qq.d), freshO.Allowed(qq.u, qq.v, qq.d); got != want {
 			t.Fatalf("oracle after repair: Allowed(%v, %v, %v) = %v, fresh oracle says %v", qq.u, qq.v, qq.d, got, want)
 		}
+	}
+}
+
+// TestFieldCacheChurnAllocatesNothing cycles more destinations than the cache
+// holds, each approached from a source whose octant box differs in size from
+// the last destination's, so every lookup is a cold build that evicts a field
+// whose bitset is often too small for the next box. Once the size-class
+// free-lists have met their peak demand (two warm-up passes), a full pass of
+// cold builds and evictions must allocate nothing — neither in the cache nor
+// in the reachability sweep — and the routing.field_word_allocs counter must
+// stop growing.
+func TestFieldCacheChurnAllocatesNothing(t *testing.T) {
+	m := mesh.NewCube(17) // 4913 nodes > fieldCacheMax
+	fault.Uniform{Count: 60}.Inject(m, rng.New(21))
+	sink := telemetry.NewSink()
+	o := &Oracle{Mesh: m}
+	o.SetTelemetry(sink)
+	n := m.NodeCount()
+	pass := func() {
+		for d := 0; d < n; d++ {
+			u := (d*7919 + 1) % n
+			if u == d {
+				u = (u + 1) % n
+			}
+			o.CandidateMaskID(m, int32(u), m.Point(u), int32(d), m.Point(d))
+		}
+	}
+	pass()
+	pass()
+	words := sink.Get(telemetry.FieldWordAllocs)
+	evictions := sink.Get(telemetry.FieldEvictions)
+	if allocs := testing.AllocsPerRun(1, pass); allocs != 0 {
+		t.Errorf("a warm pass of %d cold builds allocates %.0f times, want 0", n, allocs)
+	}
+	if got := sink.Get(telemetry.FieldEvictions) - evictions; got < int64(2*n) {
+		t.Fatalf("measured passes evicted %d fields, want >= %d (every lookup cold)", got, 2*n)
+	}
+	if got := sink.Get(telemetry.FieldWordAllocs); got != words {
+		t.Errorf("routing.field_word_allocs grew from %d to %d after warm-up", words, got)
 	}
 }

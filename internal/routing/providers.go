@@ -2,6 +2,7 @@ package routing
 
 import (
 	"mccmesh/internal/block"
+	"mccmesh/internal/classpool"
 	"mccmesh/internal/grid"
 	"mccmesh/internal/labeling"
 	"mccmesh/internal/mesh"
@@ -57,23 +58,30 @@ const fieldCacheMax = 4096
 // storage — when their destination is next looked up. A mid-run fault
 // injection therefore costs O(1) immediately and O(affected destinations)
 // over time, instead of the wholesale rebuild the map-backed cache paid.
+//
+// Storage is recycled, never discarded. An evicted field's struct serves the
+// next cold build, and bitset arrays move through a power-of-two size-class
+// pool: lookup knows the box before it builds, so a field whose array is of
+// another class than the new box needs parks it and takes one of the right
+// class. Once every class has met its peak live count, builds allocate
+// nothing.
 type fieldCache struct {
 	epoch uint32
 	slots []fieldSlot // indexed by destination node ID
 	order []int32     // FIFO of destinations holding a field
 	head  int         // consumed prefix of order
-	spare []*minimal.Field
 
-	// slab and arena chunk the allocation of cold builds: Field structs come
-	// from slab, their bitset words are carved from arena, so populating the
-	// cache costs O(1) allocations per few hundred destinations instead of
-	// two per destination.
+	// slab chunks the allocation of the Field structs of cold builds before
+	// the cache fills; evictions supply them afterwards. words recycles the
+	// bitset arrays by size class, carving small classes from shared chunks,
+	// so populating the cache costs one allocation per few hundred
+	// destinations instead of one per destination.
 	slab  []minimal.Field
-	arena []uint64
+	words classpool.Pool[uint64]
 
 	// tel receives cache counters (hits, cold builds, rebuilds, evictions,
-	// epoch bumps, decision hits/builds); nil — the default — costs one
-	// predicted branch per hook.
+	// epoch bumps, decision hits/builds, words allocated); nil — the
+	// default — costs one predicted branch per hook.
 	tel *telemetry.Sink
 }
 
@@ -129,17 +137,24 @@ func (c *fieldCache) lookup(m *mesh.Mesh, u, v, d grid.Point, dID int32, build f
 	if reuse == nil {
 		c.tel.Inc(telemetry.FieldColdBuilds)
 		if len(c.order)-c.head >= fieldCacheMax {
-			c.evictOldest()
-		}
-		if k := len(c.spare); k > 0 {
-			reuse = c.spare[k-1]
-			c.spare = c.spare[:k-1]
+			reuse = c.evictOldest()
 		} else {
-			reuse = c.newField(src, d)
+			reuse = c.newField()
 		}
 		c.order = append(c.order, dID)
 	} else {
 		c.tel.Inc(telemetry.FieldRebuilds)
+	}
+	// Size the bitset before the build so the build never allocates: an
+	// array of another class than the new box needs goes back to the pool
+	// and one of the right class comes out. Swapping down as well as up
+	// keeps each class's population at its peak live count; growing only
+	// would ratchet every recycled field up to the largest box it ever met.
+	if k := classpool.Class((grid.BoxOf(src, d).Volume() + 63) / 64); cap(reuse.BitWords()) != 1<<k {
+		c.words.Put(reuse.BitWords())
+		w, alloc := c.words.Get(k)
+		c.tel.Add(telemetry.FieldWordAllocs, int64(alloc))
+		reuse.PrepareStorage(w)
 	}
 	f := build(reuse, src, d)
 	s.field = f
@@ -244,55 +259,37 @@ func (c *fieldCache) covered(dID int32, v grid.Point) *minimal.Field {
 	return nil
 }
 
-// newField takes a Field struct from the slab and carves its bitset storage
-// from the arena, sized for BoxOf(src, d) rounded up to a power of two so
-// box-widening rebuilds usually fit in place.
-func (c *fieldCache) newField(src, d grid.Point) *minimal.Field {
+// newField takes an empty Field struct from the slab.
+func (c *fieldCache) newField() *minimal.Field {
 	if len(c.slab) == 0 {
 		c.slab = make([]minimal.Field, 256)
 	}
 	f := &c.slab[0]
 	c.slab = c.slab[1:]
-	nwords := (grid.BoxOf(src, d).Volume() + 63) / 64
-	capW := 1
-	for capW < nwords {
-		capW <<= 1
-	}
-	if len(c.arena) < capW {
-		n := 4096
-		if n < capW {
-			n = capW
-		}
-		c.arena = make([]uint64, n)
-	}
-	f.PrepareStorage(c.arena[:0:capW])
-	c.arena = c.arena[capW:]
 	return f
 }
 
-// evictOldest drops the least-recently-inserted live field, parking its
-// storage for reuse. The slot's epoch is zeroed so the decision fast path
-// cannot answer from a view whose words the parked field will overwrite for
-// another destination (epochs start at 1 and only increase).
-func (c *fieldCache) evictOldest() {
+// evictOldest drops the least-recently-inserted live field and returns it
+// for the caller's cold build, storage included. The slot's epoch is zeroed
+// so the decision fast path cannot answer from a view whose words the field
+// will overwrite for another destination (epochs start at 1 and only
+// increase).
+func (c *fieldCache) evictOldest() *minimal.Field {
 	c.tel.Inc(telemetry.FieldEvictions)
-	for c.head < len(c.order) {
-		id := c.order[c.head]
+	var f *minimal.Field
+	for f == nil {
+		s := &c.slots[c.order[c.head]]
 		c.head++
-		if s := &c.slots[id]; s.field != nil {
-			if len(c.spare) < 8 {
-				c.spare = append(c.spare, s.field)
-			}
-			s.field = nil
-			s.words = nil
-			s.epoch = 0
-			break
-		}
+		f = s.field
+		s.field = nil
+		s.words = nil
+		s.epoch = 0
 	}
 	if c.head >= fieldCacheMax {
 		c.order = append(c.order[:0], c.order[c.head:]...)
 		c.head = 0
 	}
+	return f
 }
 
 // octantSource returns the far corner of u's octant behind d: the source

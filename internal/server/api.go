@@ -153,13 +153,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	changed := job.Cancel()
+	changed := s.cancelJob(job)
 	info := job.Info(false)
-	if changed && info.Status == StatusCanceled {
-		// Sealed while still queued: the worker never sees it, so the seal is
-		// journaled here (duplicate seals from the worker path are harmless).
-		s.journalSeal(info.ID, string(StatusCanceled), info.Error)
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"id": r.PathValue("id"), "cancelled": changed, "status": info.Status,
 	})

@@ -18,9 +18,19 @@ const (
 	// job's scenario executes — inside the job-runner recover, so a Panic
 	// rule here proves panic isolation end to end.
 	ChaosRun ChaosPoint = "job.run"
-	// ChaosSeal fires immediately before a job's terminal state is recorded;
-	// a Delay rule widens the window for cancel/DELETE racing the final seal.
+	// ChaosCell fires on the measure goroutine each time a running job
+	// completes a cell, after the cell's event is logged. A Delay rule longer
+	// than the job's deadline lands the deadline exactly between two cells.
+	ChaosCell ChaosPoint = "job.cell"
+	// ChaosSeal fires when a job starts sealing, before its outcome is
+	// persisted; a Delay rule widens the window for cancel/DELETE racing the
+	// final seal.
 	ChaosSeal ChaosPoint = "job.seal"
+	// ChaosPublish fires after a job's outcome is persisted (journal seal,
+	// cache entry, counters) and before the terminal state becomes visible;
+	// a Delay rule pins that order — a waiter that wakes early finds the
+	// outcome missing for the whole delay.
+	ChaosPublish ChaosPoint = "job.publish"
 	// ChaosJournalSubmit fires before a submit record is appended to the
 	// journal; an Err rule drops the record (a crash between admission and
 	// the journal write).

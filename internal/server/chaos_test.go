@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -59,34 +60,50 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestJobTimeout pins the deadline path: a spec-level timeout seals the job
-// as TIMEOUT, keeps the completed cells in the report, and marks the
-// interrupted cell.
-func TestJobTimeout(t *testing.T) {
-	s, ts := newTestServer(t, Config{Jobs: 1})
-	// Many fast cells so the deadline reliably lands between trials (trial
-	// granularity is where cancellation is observed).
+// deadlineSpec is a two-cell job that finishes in milliseconds unless a
+// ChaosCell delay stalls it between the cells.
+func deadlineSpec() scenario.Spec {
 	spec := testSpec()
-	spec.Workload.Rates = []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06}
-	spec.Measure.Window = 2000
-	spec.Trials = 8
-	spec.Timeout = 0.25
+	spec.Workers = 1
+	return spec
+}
 
-	info, _ := submitSpec(t, ts, specJSON(t, spec))
-	done := waitTerminal(t, ts, info.ID)
+// checkTimedOut asserts a job sealed TIMEOUT with its completed prefix: the
+// first cell finished, the interrupted last cell marked TIMEOUT.
+func checkTimedOut(t *testing.T, done JobInfo) {
+	t.Helper()
 	if done.Status != StatusTimeout {
 		t.Fatalf("status = %q (err %q), want timeout", done.Status, done.Error)
 	}
 	if !strings.Contains(done.Error, "deadline exceeded") {
 		t.Errorf("error = %q, want a deadline message", done.Error)
 	}
-	if done.Report == nil || len(done.Report.Cells) == 0 {
+	if done.Report == nil || len(done.Report.Cells) < 2 {
 		t.Fatal("timed-out job lost its completed-prefix report")
+	}
+	if first := done.Report.Cells[0]; first.Err != "" {
+		t.Errorf("first cell did not complete before the deadline: %v", first.Row)
 	}
 	last := done.Report.Cells[len(done.Report.Cells)-1]
 	if !strings.Contains(strings.Join(last.Row, " "), "TIMEOUT") {
 		t.Errorf("interrupted cell not marked TIMEOUT: %v", last.Row)
 	}
+}
+
+// TestJobTimeout pins the deadline path: a spec-level timeout seals the job
+// as TIMEOUT, keeps the completed cells in the report, and marks the
+// interrupted cell. The deadline is driven from the chaos seam, not raced
+// against real work: the job stalls after its first cell for twice its
+// timeout, so the deadline lands between the two cells however fast they
+// run, and the second cell's trials observe it.
+func TestJobTimeout(t *testing.T) {
+	s, ts := newTestServer(t, Config{Jobs: 1})
+	spec := deadlineSpec()
+	spec.Timeout = 0.25
+	s.InjectFault(ChaosCell, ChaosRule{Delay: 500 * time.Millisecond, Times: 1})
+
+	info, _ := submitSpec(t, ts, specJSON(t, spec))
+	checkTimedOut(t, waitTerminal(t, ts, info.ID))
 	if got := s.Counters()["server.timeouts"]; got != 1 {
 		t.Errorf("server.timeouts = %d, want 1", got)
 	}
@@ -103,18 +120,16 @@ func TestJobTimeout(t *testing.T) {
 // TestServerJobTimeoutCapsSpec proves the server-wide -job-timeout bounds
 // specs that ask for more (or for no deadline at all).
 func TestServerJobTimeoutCapsSpec(t *testing.T) {
-	_, ts := newTestServer(t, Config{Jobs: 1, JobTimeout: 250 * time.Millisecond})
-	spec := testSpec()
-	spec.Workload.Rates = []float64{0.01, 0.02, 0.03, 0.04, 0.05, 0.06}
-	spec.Measure.Window = 2000
-	spec.Trials = 8
+	s, ts := newTestServer(t, Config{Jobs: 1, JobTimeout: 250 * time.Millisecond})
+	spec := deadlineSpec()
 	// The spec asks for an hour; the server cap wins.
 	spec.Timeout = 3600
+	s.InjectFault(ChaosCell, ChaosRule{Delay: 500 * time.Millisecond, Times: 1})
 
 	info, _ := submitSpec(t, ts, specJSON(t, spec))
-	done := waitTerminal(t, ts, info.ID)
-	if done.Status != StatusTimeout {
-		t.Fatalf("status = %q (err %q), want timeout from the server cap", done.Status, done.Error)
+	checkTimedOut(t, waitTerminal(t, ts, info.ID))
+	if got := s.Counters()["server.timeouts"]; got != 1 {
+		t.Errorf("server.timeouts = %d, want 1", got)
 	}
 }
 
@@ -234,6 +249,78 @@ func TestJournalReplayAfterCrash(t *testing.T) {
 	if got := c.Counters()["server.jobs_replayed"]; got != 0 {
 		t.Errorf("second restart: server.jobs_replayed = %d, want 0", got)
 	}
+}
+
+// TestSealPublishesLast pins the seal order on the done and the
+// cancelled-while-queued paths: the outcome is durable (journal seal), cached
+// and counted before the terminal state becomes visible. A ChaosPublish delay
+// holds every seal between its persistence steps and its visible transition,
+// so a waiter woken by a transition that came first would find the journal
+// record, the cache entry or the counter missing for the whole delay.
+func TestSealPublishesLast(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Jobs: 1, StateDir: dir, DrainTimeout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.InjectFault(ChaosPublish, ChaosRule{Delay: 200 * time.Millisecond})
+	unsealed := func() int {
+		t.Helper()
+		pending, _, err := readJournal(filepath.Join(dir, journalFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(pending)
+	}
+
+	sc := mustScenario(t, testSpec())
+	job, err := s.submit(sc, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := waitJob(job); err != nil {
+		t.Fatal(err)
+	}
+	if n := unsealed(); n != 0 {
+		t.Errorf("job visible as done with %d unsealed journal records", n)
+	}
+	if got := s.Counters()["server.jobs_completed"]; got != 1 {
+		t.Errorf("job visible as done with server.jobs_completed = %d", got)
+	}
+	if hit, err := s.submit(sc, false); err != nil || !hit.Info(false).Cached {
+		t.Errorf("resubmission of a job visible as done missed the cache (err %v)", err)
+	}
+
+	// A queued job cancelled behind a running one: the cancel call returns
+	// with the job visibly canceled, and by then its seal is on disk.
+	blocker, err := s.submit(mustScenario(t, slowSpec(100)), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := s.submit(mustScenario(t, slowSpec(200)), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.cancelJob(queued) {
+		t.Fatal("cancelling a queued job changed nothing")
+	}
+	if st := queued.Info(false).Status; st != StatusCanceled {
+		t.Fatalf("cancelled queued job: status %q, want canceled", st)
+	}
+	if n := unsealed(); n != 1 {
+		t.Errorf("unsealed journal records = %d, want 1 (just the running blocker)", n)
+	}
+	s.cancelJob(blocker)
+}
+
+func mustScenario(t *testing.T, spec scenario.Spec) *scenario.Scenario {
+	t.Helper()
+	sc, err := scenario.New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
 }
 
 // TestCancelRacesFinalSeal widens the window between a run completing and its

@@ -80,8 +80,12 @@ type Job struct {
 	// result cache (telemetry changes report content, not the digest).
 	telemetry bool
 
-	mu      sync.Mutex
-	status  Status
+	mu     sync.Mutex
+	status Status
+	// sealing marks a queued job whose seal (cancel or eviction) is being
+	// persisted: it still reads as queued, but no other transition may
+	// take it.
+	sealing bool
 	cached  bool
 	errText string
 	stack   string // captured goroutine stack of a recovered panic
@@ -116,15 +120,9 @@ func (j *Job) appendEvent(ev scenario.Event) {
 	j.mu.Unlock()
 }
 
-// setStatus transitions the job; terminal transitions wake subscribers.
-func (j *Job) setStatus(st Status) {
-	j.mu.Lock()
-	j.status = st
-	j.wakeLocked()
-	j.mu.Unlock()
-}
-
-// finish seals the job with its outcome.
+// finish seals the job with its outcome: the visible terminal transition,
+// which wakes every waiter. Callers persist the outcome first (see
+// Server.sealJob).
 func (j *Job) finish(st Status, rep *scenario.Report, errText string) {
 	j.mu.Lock()
 	j.status = st
@@ -141,17 +139,17 @@ func (j *Job) setStack(stack string) {
 	j.mu.Unlock()
 }
 
-// evict seals a still-queued job as EVICTED (graceful drain); it refuses
-// once the job has been claimed or sealed, and reports whether it sealed.
-func (j *Job) evict() bool {
+// reserveQueued claims a still-queued job for sealing (cancel or eviction)
+// without changing what observers see; it refuses once the job has been
+// claimed, sealed or reserved by another caller, and reports whether it
+// reserved. The reserving caller persists the seal, then calls finish.
+func (j *Job) reserveQueued() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != StatusQueued {
+	if j.status != StatusQueued || j.sealing {
 		return false
 	}
-	j.status = StatusEvicted
-	j.errText = "evicted: server draining; resubmit the spec"
-	j.wakeLocked()
+	j.sealing = true
 	return true
 }
 
@@ -167,36 +165,25 @@ func (j *Job) fillCached(rep *scenario.Report, events []JobEvent) {
 	j.mu.Unlock()
 }
 
-// Cancel asks the job to stop: a queued job is sealed immediately, a running
-// one has its context cancelled (the run surfaces context.Canceled and the
-// worker seals it). Terminal jobs are left untouched. It reports whether the
-// call changed anything.
-func (j *Job) Cancel() bool {
+// cancelRunning cancels a running job's context (the run surfaces
+// context.Canceled and the worker seals it) and reports whether the job was
+// running.
+func (j *Job) cancelRunning() bool {
 	j.mu.Lock()
-	st := j.status
-	if st == StatusQueued {
-		j.status = StatusCanceled
-		j.errText = context.Canceled.Error()
-		j.wakeLocked()
-	}
+	running := j.status == StatusRunning
 	j.mu.Unlock()
-	switch st {
-	case StatusQueued:
+	if running {
 		j.cancel()
-		return true
-	case StatusRunning:
-		j.cancel()
-		return true
-	default:
-		return false
 	}
+	return running
 }
 
-// claim moves a queued job to running; a job cancelled while queued refuses.
+// claim moves a queued job to running; a job cancelled, evicted or reserved
+// for either while queued refuses.
 func (j *Job) claim() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status != StatusQueued {
+	if j.status != StatusQueued || j.sealing {
 		return false
 	}
 	j.status = StatusRunning
@@ -238,13 +225,11 @@ func (j *Job) Info(withReport bool) JobInfo {
 	return info
 }
 
-// snapshot returns the terminal report and event log (for cache insertion).
-func (j *Job) snapshot() (*scenario.Report, []JobEvent) {
+// eventLog returns a copy of the event log (for cache insertion).
+func (j *Job) eventLog() []JobEvent {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	evs := make([]JobEvent, len(j.events))
-	copy(evs, j.events)
-	return j.report, evs
+	return append([]JobEvent(nil), j.events...)
 }
 
 // JobInfo is the wire form of a job's state.

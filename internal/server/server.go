@@ -369,11 +369,23 @@ func (s *Server) worker() {
 
 // evictJob seals a still-queued job as EVICTED during a drain.
 func (s *Server) evictJob(job *Job) {
-	if !job.evict() {
+	if !job.reserveQueued() {
 		return // already cancelled or otherwise sealed
 	}
-	s.journalSeal(job.id, string(StatusEvicted), "evicted: server draining")
-	s.counter(func(t *telemetry.Sink) { t.Inc(telemetry.ServerJobsEvicted) })
+	s.sealJob(job, StatusEvicted, nil, "evicted: server draining; resubmit the spec", telemetry.ServerJobsEvicted)
+}
+
+// cancelJob asks a job to stop and reports whether the call changed
+// anything: a queued job is sealed CANCELED here (the worker then skips it),
+// a running one has its context cancelled and is sealed by its worker.
+// Terminal jobs are left untouched.
+func (s *Server) cancelJob(job *Job) bool {
+	if job.reserveQueued() {
+		job.cancel()
+		s.sealJob(job, StatusCanceled, nil, context.Canceled.Error(), telemetry.ServerJobsCancelled)
+		return true
+	}
+	return job.cancelRunning()
 }
 
 // jobDeadline resolves a job's effective wall-clock budget: the spec's own
@@ -441,13 +453,27 @@ func (s *Server) retryAfterSeconds() int {
 	return sec
 }
 
-// sealJob records a job's terminal state and journals it. The chaos point
-// sits before the seal so a Delay rule widens the cancel-vs-seal race window
-// for the tests.
-func (s *Server) sealJob(job *Job, st Status, rep *scenario.Report, errText string) {
+// sealJob makes a job terminal. Everything a client may look for once it
+// sees the terminal state comes first — the journal seal, the result-cache
+// entry of a done run, the lifecycle counters — and the visible transition
+// (status, report, waking waiters) comes last. A client that sees a job done
+// and resubmits it therefore finds the cache warm, and a crash before the
+// transition replays a job no client saw finish. ChaosSeal fires before the
+// persistence steps (a Delay widens the cancel-vs-seal race window),
+// ChaosPublish between them and the transition.
+func (s *Server) sealJob(job *Job, st Status, rep *scenario.Report, errText string, counters ...telemetry.CounterID) {
 	s.chaos.hit(ChaosSeal) //nolint:errcheck // only Delay rules are meaningful here
-	job.finish(st, rep, errText)
 	s.journalSeal(job.id, string(st), errText)
+	if st == StatusDone && !job.telemetry {
+		s.cache.put(job.digest, &cacheEntry{report: rep, events: job.eventLog(), jobID: job.id})
+	}
+	s.counter(func(t *telemetry.Sink) {
+		for _, id := range counters {
+			t.Inc(id)
+		}
+	})
+	s.chaos.hit(ChaosPublish) //nolint:errcheck // only Delay rules are meaningful here
+	job.finish(st, rep, errText)
 }
 
 // runJob executes one job: it wires the observer into the job's event log,
@@ -455,13 +481,16 @@ func (s *Server) sealJob(job *Job, st Status, rep *scenario.Report, errText stri
 // context (bounded by the effective deadline) and seals the outcome.
 // Successful telemetry-free runs populate the result cache.
 func (s *Server) runJob(job *Job) {
-	if !job.claim() { // cancelled while queued
-		s.journalSeal(job.id, string(StatusCanceled), context.Canceled.Error())
-		s.counter(func(t *telemetry.Sink) { t.Inc(telemetry.ServerJobsCancelled) })
-		return
+	if !job.claim() {
+		return // cancelled while queued: sealed by cancelJob
 	}
 	sc := job.sc
-	sc.Observe(job.appendEvent)
+	sc.Observe(func(ev scenario.Event) {
+		job.appendEvent(ev)
+		if ev.Done {
+			s.chaos.hit(ChaosCell) //nolint:errcheck // only Delay rules are meaningful here
+		}
+	})
 	src, release := s.pool.Source(sc.Spec())
 	defer release()
 	sc.SetMeshSource(func() *mesh.Mesh {
@@ -483,31 +512,19 @@ func (s *Server) runJob(job *Job) {
 	switch {
 	case err == nil:
 		s.observeServiceTime(time.Since(start))
-		s.sealJob(job, StatusDone, rep, "")
-		if !job.telemetry {
-			report, events := job.snapshot()
-			s.cache.put(job.digest, &cacheEntry{report: report, events: events, jobID: job.id})
-		}
-		s.counter(func(t *telemetry.Sink) { t.Inc(telemetry.ServerJobsCompleted) })
+		s.sealJob(job, StatusDone, rep, "", telemetry.ServerJobsCompleted)
 	case errors.As(err, &pe):
 		job.setStack(pe.stack)
-		s.sealJob(job, StatusFailed, rep, pe.Error())
-		s.counter(func(t *telemetry.Sink) {
-			t.Inc(telemetry.ServerPanics)
-			t.Inc(telemetry.ServerJobsFailed)
-		})
+		s.sealJob(job, StatusFailed, rep, pe.Error(), telemetry.ServerPanics, telemetry.ServerJobsFailed)
 	case errors.Is(err, context.DeadlineExceeded) && job.ctx.Err() == nil:
 		// The per-job deadline fired (the client's own context is still live);
 		// the report keeps every completed cell, with the interrupted cell
 		// marked TIMEOUT by the scenario layer.
-		s.sealJob(job, StatusTimeout, rep, fmt.Sprintf("deadline exceeded after %s", deadline))
-		s.counter(func(t *telemetry.Sink) { t.Inc(telemetry.ServerTimeouts) })
+		s.sealJob(job, StatusTimeout, rep, fmt.Sprintf("deadline exceeded after %s", deadline), telemetry.ServerTimeouts)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.sealJob(job, StatusCanceled, rep, err.Error())
-		s.counter(func(t *telemetry.Sink) { t.Inc(telemetry.ServerJobsCancelled) })
+		s.sealJob(job, StatusCanceled, rep, err.Error(), telemetry.ServerJobsCancelled)
 	default:
-		s.sealJob(job, StatusFailed, rep, err.Error())
-		s.counter(func(t *telemetry.Sink) { t.Inc(telemetry.ServerJobsFailed) })
+		s.sealJob(job, StatusFailed, rep, err.Error(), telemetry.ServerJobsFailed)
 	}
 }
 

@@ -1,6 +1,9 @@
 package simnet
 
-import "mccmesh/internal/telemetry"
+import (
+	"mccmesh/internal/classpool"
+	"mccmesh/internal/telemetry"
+)
 
 // The event queue of the simulator: a calendar queue (timing wheel) of
 // per-tick buckets for the near future, with a plain binary heap of events as
@@ -22,48 +25,37 @@ import "mccmesh/internal/telemetry"
 //     migrated events (small seq) land ahead of later direct appends (large
 //     seq) and bucket order stays seq-sorted. The target slots are free at
 //     migration time: they correspond to ticks that were drained before t.
-//   - Drained buckets are reset to length zero but keep their backing arrays
-//     (the free-list), so steady-state enqueue/dequeue allocates nothing.
+//   - Drained buckets return their backing arrays to a size-class pool
+//     (see calendarQueue.pool), so steady-state enqueue/dequeue allocates
+//     nothing and the storage held stays a small multiple of the peak ring
+//     occupancy.
 type calendarQueue struct {
 	ring  [][]event
 	count int // events resident in the ring
 	far   farHeap
-	// spare and spareBig are the free-lists of drained bucket arrays, split at
-	// bigBucketCap. A run shorter than one ring revolution touches every slot
-	// at most once, so in-place slot reuse alone would allocate a fresh array
-	// per tick; handing drained arrays to the next tick that needs one keeps
-	// the working set at roughly the number of simultaneously non-empty
-	// buckets. The size split matters because bucket sizes are bimodal: each
-	// tick has one big delivery bucket and dozens of near-empty timer buckets.
-	// A single mixed free-list hands the delivery bucket a tiny array and lets
-	// append realloc-and-discard its way up the doubling ladder every tick;
-	// keeping the big arrays apart lets growth jump straight onto one.
-	spare    [][]event
-	spareBig [][]event
-	// arena is the current storage chunk bucket growth carves from. The spare
-	// free-lists bound the steady state, but the ramp-up still used to pay one
-	// allocator round trip per doubling of every bucket that grows before the
-	// spare population catches up — a couple of thousand small allocations per
-	// run. Carving doubled arrays out of chunk-sized slabs instead collapses
-	// the ramp to a handful of chunk allocations; outgrown fragments are
-	// parked on the free-lists and serve other slots, so the waste is bounded
-	// by roughly twice the peak ring occupancy for the lifetime of the run.
-	arena []event
+	// pool recycles bucket arrays by power-of-two size class. A run shorter
+	// than one ring revolution touches every slot at most once, so in-place
+	// slot reuse alone would allocate a fresh array per tick. A bucket that
+	// fills up moves onto an array of the next class and parks the one it
+	// outgrew, so the per-tick delivery bucket climbs the doubling ladder on
+	// recycled rungs, and the storage held is one array per class in use plus
+	// the arrays of simultaneously non-empty buckets: a small multiple of the
+	// peak ring occupancy. (A mixed LIFO free-list handed the delivery bucket
+	// whatever array was parked last, so it re-grew every tick and kept each
+	// outgrown rung for the run: 650 MB of carved storage against a ~1 MB
+	// peak bucket on a 32³ hotspot trial.)
+	pool classpool.Pool[event]
 	// tel receives queue counters (heap fallbacks, migrations, bucket reuse,
-	// peak occupancy); nil — the default — costs one predicted branch per hook.
+	// storage allocated, peak occupancy); nil — the default — costs one
+	// predicted branch per hook.
 	tel *telemetry.Sink
 }
 
 const (
-	// bigBucketCap splits the spare free-lists: drained arrays at or beyond it
-	// are parked separately so bucket growth can adopt one directly.
-	bigBucketCap = 256
-
-	// arenaChunk is the carving granularity of the bucket-storage arena, in
-	// events: large enough that a run's ramp-up costs a handful of chunk
-	// allocations, small enough that the last partially-used chunk wastes
-	// little.
-	arenaChunk = 4096
+	// minClass is the size class (1<<minClass events) an empty slot starts
+	// at: it holds a slot's typical timer population without an immediate
+	// move up.
+	minClass = 3
 
 	wheelBits = 11
 	// wheelSize is the width of the calendar window in ticks. Link delays are
@@ -112,78 +104,30 @@ func (q *calendarQueue) push(ev event, now, threshold Time) {
 	}
 }
 
-// append adds an event to a ring slot, seeding empty slots from the spare
-// free-list and switching a slot that outgrows a small array onto a drained
-// big one (parking the small array back) so the per-tick delivery bucket
-// never realloc-discards its way up the append doubling ladder. Growth the
-// free-lists cannot serve carves a doubled array from the arena instead of
-// going to the allocator.
+// append adds an event to a ring slot. A full bucket (or an empty slot)
+// moves onto a pooled array of the next size class, parking the outgrown one,
+// so bucket growth never goes through the runtime's append.
 func (q *calendarQueue) append(slot Time, ev event) {
 	b := q.ring[slot]
-	if b == nil {
-		if k := len(q.spare); k > 0 {
-			b = q.spare[k-1]
-			q.spare = q.spare[:k-1]
+	if len(b) == cap(b) {
+		// The smallest class strictly above cap(b): capacities are powers
+		// of two except for the tail of a partially consumed bucket, which
+		// this still sizes correctly.
+		nb, alloc := q.pool.Get(max(minClass, classpool.Class(cap(b)+1)))
+		if alloc > 0 {
+			q.tel.Add(telemetry.SimBucketAllocEvents, int64(alloc))
+		} else {
 			q.tel.Inc(telemetry.SimBucketReuses)
 		}
-	}
-	if len(b) == cap(b) {
-		if cap(b) < bigBucketCap {
-			if k := len(q.spareBig); k > 0 {
-				nb := q.spareBig[k-1][:len(b)]
-				q.spareBig = q.spareBig[:k-1]
-				copy(nb, b)
-				q.park(b)
-				b = nb
-				q.tel.Inc(telemetry.SimBucketReuses)
-			}
-		}
-		if len(b) == cap(b) {
-			nb := q.carve(growCap(cap(b)))[:len(b)]
-			copy(nb, b)
-			q.park(b)
-			b = nb
-		}
+		nb = nb[:len(b)]
+		copy(nb, b)
+		q.pool.Put(b)
+		b = nb
 	}
 	b = append(b, ev)
 	q.ring[slot] = b
 	q.count++
 	q.tel.Max(telemetry.SimBucketPeak, int64(len(b)))
-}
-
-// growCap doubles a bucket capacity, seeding empty buckets at a size that
-// holds a slot's typical timer population without an immediate regrow.
-func growCap(c int) int {
-	if c == 0 {
-		return 8
-	}
-	return 2 * c
-}
-
-// carve cuts an n-event array out of the arena, starting a fresh chunk when
-// the current one cannot fit it. The three-index slice caps the result at
-// exactly n, so a bucket appending at capacity can never spill into storage
-// carved for another slot.
-func (q *calendarQueue) carve(n int) []event {
-	if len(q.arena)+n > cap(q.arena) {
-		size := arenaChunk
-		if n > size {
-			size = n
-		}
-		q.arena = make([]event, 0, size)
-	}
-	off := len(q.arena)
-	q.arena = q.arena[:off+n]
-	return q.arena[off : off : off+n]
-}
-
-// park returns a drained (or outgrown) backing array to its free-list.
-func (q *calendarQueue) park(b []event) {
-	if cap(b) >= bigBucketCap {
-		q.spareBig = append(q.spareBig, b[:0])
-	} else if cap(b) > 0 {
-		q.spare = append(q.spare, b[:0])
-	}
 }
 
 // nextTime returns the tick of the earliest queued event. The caller
@@ -218,7 +162,7 @@ func (q *calendarQueue) migrate(t, threshold Time) {
 func (q *calendarQueue) consume(bucket *[]event, n int) {
 	q.count -= n
 	if n == len(*bucket) {
-		q.park(*bucket)
+		q.pool.Put(*bucket)
 		*bucket = nil
 		return
 	}

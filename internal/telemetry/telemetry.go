@@ -38,6 +38,11 @@ const (
 	SimBucketReuses
 	// SimBucketPeak is a gauge: the maximum per-tick bucket occupancy seen.
 	SimBucketPeak
+	// SimBucketAllocEvents totals the bucket storage, in events, obtained
+	// from the allocator rather than the size-class free-lists: bounded
+	// ramp-up in a healthy run, growing with the run length when recycling
+	// breaks down.
+	SimBucketAllocEvents
 
 	// FieldHits counts reachability-field cache hits on the per-hop path.
 	FieldHits
@@ -50,6 +55,11 @@ const (
 	FieldEvictions
 	// FieldEpochBumps counts O(1) cache invalidations (fault churn).
 	FieldEpochBumps
+	// FieldWordAllocs totals the field bitset storage, in 64-bit words,
+	// obtained from the allocator rather than the cache's size-class
+	// free-lists (cold builds before the cache fills, and evictions whose
+	// recycled bitset was too small for the next box and had no parked peer).
+	FieldWordAllocs
 	// DecisionHits counts per-hop routing decisions answered entirely from
 	// the memoised reachability field — an epoch check plus at most three
 	// bit probes, the hop fast path.
@@ -123,36 +133,38 @@ const (
 // counterNames are the stable external names, indexed by CounterID; they key
 // every JSON snapshot and counter table.
 var counterNames = [NumCounters]string{
-	SimHeapEvents:       "simnet.heap_events",
-	SimHeapMigrations:   "simnet.heap_migrations",
-	SimBucketReuses:     "simnet.bucket_reuses",
-	SimBucketPeak:       "simnet.bucket_peak",
-	FieldHits:           "routing.field_hits",
-	FieldColdBuilds:     "routing.field_cold_builds",
-	FieldRebuilds:       "routing.field_rebuilds",
-	FieldEvictions:      "routing.field_evictions",
-	FieldEpochBumps:     "routing.epoch_bumps",
-	DecisionHits:        "routing.decision_hits",
-	DecisionBuilds:      "routing.decision_builds",
-	RelabelAddNodes:     "labeling.relabel_add_nodes",
-	RelabelRemoveNodes:  "labeling.relabel_remove_nodes",
-	PacketsInjected:     "traffic.injected",
-	PacketsDelivered:    "traffic.delivered",
-	PacketsStuck:        "traffic.stuck",
-	PacketsLost:         "traffic.lost",
-	ChurnFailures:       "churn.failures",
-	ChurnRepairs:        "churn.repairs",
-	ChurnFailedNodes:    "churn.failed_nodes",
-	ChurnRepairedNodes:  "churn.repaired_nodes",
-	TracesSampled:       "trace.sampled",
-	TracesEvicted:       "trace.evicted",
-	ServerJobsSubmitted: "server.jobs_submitted",
-	ServerJobsCompleted: "server.jobs_completed",
-	ServerJobsFailed:    "server.jobs_failed",
-	ServerJobsCancelled: "server.jobs_cancelled",
-	ServerCacheHits:     "server.cache_hits",
-	ServerQueueDepth:    "server.queue_depth",
-	ServerTopoClones:    "server.topo_clones",
+	SimHeapEvents:        "simnet.heap_events",
+	SimHeapMigrations:    "simnet.heap_migrations",
+	SimBucketReuses:      "simnet.bucket_reuses",
+	SimBucketPeak:        "simnet.bucket_peak",
+	SimBucketAllocEvents: "simnet.bucket_alloc_events",
+	FieldHits:            "routing.field_hits",
+	FieldColdBuilds:      "routing.field_cold_builds",
+	FieldRebuilds:        "routing.field_rebuilds",
+	FieldEvictions:       "routing.field_evictions",
+	FieldEpochBumps:      "routing.epoch_bumps",
+	FieldWordAllocs:      "routing.field_word_allocs",
+	DecisionHits:         "routing.decision_hits",
+	DecisionBuilds:       "routing.decision_builds",
+	RelabelAddNodes:      "labeling.relabel_add_nodes",
+	RelabelRemoveNodes:   "labeling.relabel_remove_nodes",
+	PacketsInjected:      "traffic.injected",
+	PacketsDelivered:     "traffic.delivered",
+	PacketsStuck:         "traffic.stuck",
+	PacketsLost:          "traffic.lost",
+	ChurnFailures:        "churn.failures",
+	ChurnRepairs:         "churn.repairs",
+	ChurnFailedNodes:     "churn.failed_nodes",
+	ChurnRepairedNodes:   "churn.repaired_nodes",
+	TracesSampled:        "trace.sampled",
+	TracesEvicted:        "trace.evicted",
+	ServerJobsSubmitted:  "server.jobs_submitted",
+	ServerJobsCompleted:  "server.jobs_completed",
+	ServerJobsFailed:     "server.jobs_failed",
+	ServerJobsCancelled:  "server.jobs_cancelled",
+	ServerCacheHits:      "server.cache_hits",
+	ServerQueueDepth:     "server.queue_depth",
+	ServerTopoClones:     "server.topo_clones",
 
 	ServerPanics:          "server.panics",
 	ServerTimeouts:        "server.timeouts",

@@ -22,9 +22,10 @@ import (
 // model — and with it the providers' field caches — persists across runs,
 // so the first run builds every reachability field the steady state touches
 // and the measured run answers every hop from the memoised decision fast
-// path. With the fields slab- and arena-backed, that steady state allocates
-// nothing per packet or per hop; the 0.01 ceiling only admits the bounded
-// per-run setup amortised over the >= 10k deliveries the cell requires.
+// path. With field structs slab-backed and bitsets pooled by size class,
+// that steady state allocates nothing per packet or per hop; the 0.01
+// ceiling only admits the bounded per-run setup amortised over the >= 10k
+// deliveries the cell requires.
 func TestSteadyStateAllocsPerPacket(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race instruments allocations; alloc accounting is only meaningful without it")
@@ -69,7 +70,23 @@ func TestSteadyStateAllocsPerPacket(t *testing.T) {
 		}
 		if perPacket := measure(t, e); perPacket > 0.01 {
 			t.Errorf("mcc steady state allocates: %.4f allocs per delivered packet (want 0) — "+
-				"the decision fast path, the field slab/arena, or the per-run setup regressed", perPacket)
+				"the decision fast path, the field slab/pool, or the per-run setup regressed", perPacket)
+		}
+	})
+
+	// The eviction cell: a 20³ mesh has more destinations than the
+	// 4096-field cache holds, so the measured run keeps cold-building fields
+	// into evicted ones whose bitsets fit other boxes. With bitsets recycled
+	// by size class that churn allocates nothing once the first run has met
+	// each class's peak demand.
+	t.Run("mcc-evict", func(t *testing.T) {
+		e := cubeEngine(t, 20, 234, "mcc", 11, 120)
+		if res := e.Run(11); res.Err != nil || res.Delivered == 0 {
+			t.Fatalf("mcc-evict warmup run failed: delivered=%d err=%v", res.Delivered, res.Err)
+		}
+		if perPacket := measure(t, e); perPacket > 0.01 {
+			t.Errorf("mcc eviction churn allocates: %.4f allocs per delivered packet (want 0) — "+
+				"field bitsets or bucket storage stopped being recycled under eviction", perPacket)
 		}
 	})
 }

@@ -20,8 +20,13 @@ import (
 
 // benchEngine builds the reference workload for one trial.
 func benchEngine(tb testing.TB, model string, seed uint64, window simnet.Time) *traffic.Engine {
-	m := mesh.New3D(16, 16, 16)
-	fault.Uniform{Count: 120}.Inject(m, rng.New(rng.Derive(seed, 1<<48)))
+	return cubeEngine(tb, 16, 120, model, seed, window)
+}
+
+// cubeEngine is benchEngine on a dim³ mesh with the given fault count.
+func cubeEngine(tb testing.TB, dim, faults int, model string, seed uint64, window simnet.Time) *traffic.Engine {
+	m := mesh.New3D(dim, dim, dim)
+	fault.Uniform{Count: faults}.Inject(m, rng.New(rng.Derive(seed, 1<<48)))
 	im, err := traffic.ModelByName(model, core.NewModel(m))
 	if err != nil {
 		tb.Fatal(err)
