@@ -23,7 +23,7 @@ import (
 
 // referenceMask assembles the decision mask the slow way: the healthy forward
 // directions from u toward d, filtered through per-direction AllowedID — the
-// exact set CandidateDirsID would collect.
+// exact set the per-direction decision API answers.
 func referenceMask(m *mesh.Mesh, prov routing.IDProvider, u int32, uPt grid.Point, d int32, dPt grid.Point) uint8 {
 	var mk uint8
 	for _, a := range m.Axes() {

@@ -62,7 +62,11 @@ type ShardedOptions struct {
 	MaxEvents int
 	// Telemetry optionally supplies one counter sink per shard (len must match
 	// the slab count); each shard's queue counters land in its own sink so the
-	// parallel tick processing never contends on a shared one.
+	// parallel tick processing never contends on a shared one. The barrier
+	// adds the balance counters: each shard's sink counts the events it sent
+	// across slabs (telemetry.SimShardExchanged) and gauges its processed
+	// events (telemetry.SimShardEventsMax), so merged sinks report the
+	// exchange total and the busiest shard.
 	Telemetry []*telemetry.Sink
 	// MigrateRef rewrites an envelope payload reference when an event crosses
 	// shards at the barrier exchange: handlers that resolve Envelope.Ref
@@ -152,14 +156,10 @@ func NewSharded(m *mesh.Mesh, handlers []Handler, slabs []mesh.IDRange, opts Sha
 	}
 	sn := &ShardedNetwork{mesh: m, slabs: slabs, opts: opts}
 	for s, slab := range slabs {
-		var sink *telemetry.Sink
-		if opts.Telemetry != nil {
-			sink = opts.Telemetry[s]
-		}
 		// Each shard keeps the full MaxEvents as its own bound: it is only the
 		// same-tick livelock backstop (After(0) loops); the real cross-shard
 		// budget is enforced at the barrier.
-		net := New(m, handlers[s], Options{LinkDelay: opts.LinkDelay, MaxEvents: opts.MaxEvents, Telemetry: sink})
+		net := New(m, handlers[s], Options{LinkDelay: opts.LinkDelay, MaxEvents: opts.MaxEvents, Telemetry: sn.sink(s)})
 		net.shardLo, net.shardHi = slab.Lo, slab.Hi
 		sn.nets = append(sn.nets, net)
 	}
@@ -238,6 +238,7 @@ func (sn *ShardedNetwork) Run() (Stats, error) {
 func (sn *ShardedNetwork) drain() (Stats, error) {
 	sn.startWorkers()
 	defer sn.stopWorkers()
+	defer sn.recordBalance()
 	sn.exchange() // flush Init-time cross-shard sends
 	active := make([]int, 0, len(sn.nets))
 	for {
@@ -380,6 +381,7 @@ func (sn *ShardedNetwork) nextTick() (Time, bool) {
 // reference payloads move through the MigrateRef hook.
 func (sn *ShardedNetwork) exchange() {
 	for s, src := range sn.nets {
+		sn.sink(s).Add(telemetry.SimShardExchanged, int64(len(src.outbox)))
 		for i := range src.outbox {
 			ev := src.outbox[i]
 			if ev.time <= sn.now {
@@ -407,6 +409,21 @@ func (sn *ShardedNetwork) exchange() {
 			dst.enqueue(ev)
 		}
 		src.outbox = src.outbox[:0]
+	}
+}
+
+// sink returns shard s's telemetry sink, nil when telemetry is off.
+func (sn *ShardedNetwork) sink(s int) *telemetry.Sink {
+	if sn.opts.Telemetry == nil {
+		return nil
+	}
+	return sn.opts.Telemetry[s]
+}
+
+// recordBalance gauges every shard's processed-event count into its sink.
+func (sn *ShardedNetwork) recordBalance() {
+	for s, net := range sn.nets {
+		sn.sink(s).Max(telemetry.SimShardEventsMax, int64(net.stats.Events))
 	}
 }
 

@@ -43,6 +43,14 @@ const (
 	// ramp-up in a healthy run, growing with the run length when recycling
 	// breaks down.
 	SimBucketAllocEvents
+	// SimShardExchanged counts the events a sharded run moved between shards
+	// at its tick barriers (cross-slab sends). Sharded runs only.
+	SimShardExchanged
+	// SimShardEventsMax is a gauge: the largest per-shard processed-event
+	// count of a sharded run. Times the shard count over the run's total
+	// simulator events it is the shard load imbalance (1 = perfectly even).
+	// Sharded runs only.
+	SimShardEventsMax
 
 	// FieldHits counts reachability-field cache hits on the per-hop path.
 	FieldHits
@@ -138,6 +146,8 @@ var counterNames = [NumCounters]string{
 	SimBucketReuses:      "simnet.bucket_reuses",
 	SimBucketPeak:        "simnet.bucket_peak",
 	SimBucketAllocEvents: "simnet.bucket_alloc_events",
+	SimShardExchanged:    "simnet.shard_exchanged",
+	SimShardEventsMax:    "simnet.shard_events_max",
 	FieldHits:            "routing.field_hits",
 	FieldColdBuilds:      "routing.field_cold_builds",
 	FieldRebuilds:        "routing.field_rebuilds",
@@ -182,7 +192,9 @@ func (id CounterID) String() string {
 }
 
 // gauge reports whether the slot merges by max instead of by sum.
-func (id CounterID) gauge() bool { return id == SimBucketPeak || id == ServerQueueDepth }
+func (id CounterID) gauge() bool {
+	return id == SimBucketPeak || id == SimShardEventsMax || id == ServerQueueDepth
+}
 
 // Sink is one trial's counter slice. The zero value is ready to use; a nil
 // *Sink is the disabled state — every method nil-checks and returns, so

@@ -79,9 +79,10 @@ type Options struct {
 	// mesh.SlabPartition), each owning its own event queue and packet pool,
 	// synchronised conservatively at a per-tick barrier. The measured results
 	// are bit-identical to the sequential path at any shard count. 0 or 1 —
-	// the default — runs the sequential engine with zero overhead; so does
-	// tracing (TraceEvery > 0), because packet traces are defined over the
-	// global delivery order a single queue provides. Requires ShardModel.
+	// the default — runs the trial on a single simnet.Network, with no
+	// barrier; so does tracing (TraceEvery > 0), because packet traces are
+	// defined over the global delivery order a single queue provides, and so
+	// does a mesh too thin to split two ways. Requires ShardModel.
 	Shards int
 	// ShardModel builds one information model instance per shard: model state
 	// (labellings, routing field caches) is not concurrency-safe, so each
@@ -219,15 +220,16 @@ func NewEngine(m *mesh.Mesh, model InfoModel, pattern Pattern, opts Options) *En
 	return &Engine{mesh: m, model: model, pattern: pattern, opts: opts}
 }
 
-// run is the per-Run state shared by the handler callbacks.
+// run is the per-node handler state of one trial: all of it in a sequential
+// trial, one slab shard's worth in a sharded one (see trial).
 type run struct {
 	e *Engine
-	// model is the information model this state routes against: e.model in the
-	// sequential engine, a private per-shard instance (Options.ShardModel) in
-	// the sharded one.
+	// model is the information model this state routes against: e.model in a
+	// sequential trial, a private per-shard instance (Options.ShardModel) in
+	// a sharded one.
 	model   InfoModel
 	res     *Result
-	nodeRng []rng.Rand
+	nodeRng []rng.Rand // shared by every state of the trial
 	policy  routing.Policy
 	horizon simnet.Time
 	nextID  int
@@ -235,9 +237,10 @@ type run struct {
 	// kinds are interned once per run so the hot path never touches strings.
 	injectID, packetID simnet.KindID
 
-	// provs caches the per-orientation provider and its one-time IDProvider
-	// type assertion, so the per-hop loop neither re-asks the model nor
-	// re-asserts. Fault events flush it (models may hand out new providers).
+	// provs caches the per-orientation provider and its one-time
+	// DecisionProvider type assertion, so the per-hop loop neither re-asks
+	// the model nor re-asserts. Fault events flush it (models may hand out
+	// new providers).
 	provs [8]provEntry
 
 	// pool holds every in-flight packet by value; envelopes carry pool
@@ -255,31 +258,23 @@ type run struct {
 	tel   *telemetry.Sink
 	trace *telemetry.TraceSink
 
-	// Churn-timeline state, nil/zero without Options.Timeline. groups records
-	// the nodes each failure group took down so its repair restores exactly
-	// them; nextInject tracks each node's pending injection-timer delivery
-	// tick, so a repair can tell a timer chain broken by the failure (the
-	// timer was dropped while the node was faulty) from one still in flight.
-	groups     [][]grid.Point
+	// nextInject tracks each node's pending injection-timer delivery tick
+	// (shared by every state, nil without Options.Timeline), so a churn
+	// repair can tell a timer chain broken by the failure (the timer was
+	// dropped while the node was faulty) from one still in flight.
 	nextInject []simnet.Time
-	// The open phase accumulator: closed into phases at every churn event
-	// inside the measurement window and once more at the end of the run.
-	phases         []PhaseStat
-	phaseStart     simnet.Time
-	phaseHealthy   int
+	// The open phase's delivery tally, drained by the trial at every phase
+	// boundary; meaningless (and never read) without Options.Timeline.
 	phaseDelivered int
 	phaseLatSum    int64
 }
 
 // provEntry is one cached per-orientation provider; masked selects the
-// packed-decision CandidateMaskID path (every built-in provider), fast the
-// index-first AllowedID path, and the Provider field the Point fallback for
-// third-party providers implementing neither.
+// packed-decision CandidateMaskID path (every built-in provider), and the
+// Provider field the Point fallback for third-party providers without it.
 type provEntry struct {
 	prov   routing.Provider
-	id     routing.IDProvider
 	dec    routing.DecisionProvider
-	fast   bool
 	masked bool
 }
 
@@ -311,142 +306,6 @@ func (st *run) alloc() int32 {
 // release returns a pool slot to the free-list.
 func (st *run) release(ref int32) { st.free = append(st.free, ref) }
 
-// Run executes one trial with the given seed and returns its measurements.
-// Everything — injection gaps, destinations, tie-breaking, fault placement —
-// derives deterministically from the seed, so identical seeds give identical
-// results wherever the trial runs. A trial that exhausts the simulator's
-// event budget reports the failure in Result.Err instead of panicking.
-func (e *Engine) Run(seed uint64) *Result {
-	if e.opts.Shards > 1 && e.opts.ShardModel != nil && e.opts.TraceEvery == 0 {
-		if res := e.runSharded(seed); res != nil {
-			return res
-		}
-		// nil: the mesh has too few layers to split — fall through sequential.
-	}
-	res := &Result{
-		Model:        e.model.Name(),
-		Pattern:      e.pattern.Name(),
-		Rate:         e.opts.Rate,
-		HealthyNodes: e.mesh.NodeCount() - e.mesh.FaultCount(),
-		Warmup:       e.opts.Warmup,
-		Window:       e.opts.Window,
-	}
-	st := &run{
-		e:       e,
-		model:   e.model,
-		res:     res,
-		nodeRng: make([]rng.Rand, e.mesh.NodeCount()),
-		policy:  e.opts.Policy,
-		horizon: e.opts.Warmup + e.opts.Window,
-		pool:    make([]packet, 0, 1024),
-		dirs:    make([]grid.Direction, 0, 6),
-	}
-	for i := range st.nodeRng {
-		st.nodeRng[i].Seed(rng.Derive(seed, uint64(i)))
-	}
-	if st.policy == nil {
-		st.policy = routing.Seeded{Seed: rng.Derive(seed, 1<<40)}
-	}
-	if e.opts.Telemetry || e.opts.TraceEvery > 0 {
-		st.tel = telemetry.NewSink()
-		if inst, ok := e.model.(telemetry.Instrumentable); ok {
-			inst.SetTelemetry(st.tel)
-		}
-		if e.opts.TraceEvery > 0 {
-			capacity := e.opts.TraceCap
-			if capacity <= 0 {
-				capacity = 256
-			}
-			st.trace = telemetry.NewTraceSink(rng.Derive(seed, traceSalt), e.opts.TraceEvery, capacity, st.tel)
-		}
-	}
-	net := simnet.New(e.mesh, st, simnet.Options{LinkDelay: e.opts.LinkDelay, MaxEvents: e.opts.MaxEvents, Telemetry: st.tel})
-	st.injectID = net.Kind(kindInject)
-	st.packetID = net.Kind(kindPacket)
-	for i, ev := range e.opts.Faults {
-		evRng := rng.New(rng.Derive(seed, uint64(1)<<32+uint64(i)))
-		net.At(ev.At, func() {
-			placed := ev.Inject.Inject(e.mesh, evRng)
-			// Models that can absorb the new faults incrementally keep their
-			// labellings, regions and field caches alive; the rest recompute
-			// lazily from scratch. Either way the cached provider table is
-			// flushed — a model is free to hand out new providers after this.
-			st.applyFaults(placed)
-			// With a timeline also active, a scheduled injection is a phase
-			// boundary too: the healthy-node base of the open phase changed.
-			// It is not a timeline event, so Failures stays untouched.
-			if st.phases != nil && len(placed) > 0 {
-				st.closePhase(net.Now())
-			}
-		})
-	}
-	if tl := e.opts.Timeline; tl != nil {
-		// The step stream (arrival times, repair pairings) derives from one
-		// salted generator, each group's placement from its own — so the
-		// schedule and the placements are independent deterministic streams.
-		steps := tl.Program(rng.New(rng.Derive(seed, churnProgramSalt)))
-		st.groups = make([][]grid.Point, fault.Groups(steps))
-		st.nextInject = make([]simnet.Time, e.mesh.NodeCount())
-		st.phases = make([]PhaseStat, 0, len(steps)+1)
-		st.phaseStart = e.opts.Warmup
-		st.phaseHealthy = res.HealthyNodes
-		for i := range steps {
-			stp := steps[i]
-			var placeRng *rng.Rand
-			if !stp.Repair {
-				placeRng = rng.New(rng.Derive(seed, churnPlaceSalt+uint64(stp.Group)))
-			}
-			net.At(simnet.Time(stp.At), func() { st.churnStep(net, stp, placeRng) })
-		}
-	}
-	sim, err := net.Run()
-	res.Err = err
-	res.FinalTime = sim.FinalTime
-	res.Events = sim.Events
-	res.Lost = res.Injected - res.Delivered - res.Stuck
-	if st.phases != nil {
-		// Close the open phase; drain deliveries past the horizon have
-		// already been accumulated into it.
-		end := st.horizon
-		if end < st.phaseStart {
-			end = st.phaseStart
-		}
-		res.Phases = append(st.phases, PhaseStat{
-			Start: st.phaseStart, End: end, Healthy: st.phaseHealthy,
-			Delivered: st.phaseDelivered, LatencySum: st.phaseLatSum,
-		})
-	}
-	if st.tel != nil {
-		// Packet and churn totals come from the Result at the end of the run
-		// instead of per-packet increments: the hot path pays nothing for
-		// counters the aggregates already carry.
-		st.tel.Add(telemetry.PacketsInjected, int64(res.Injected))
-		st.tel.Add(telemetry.PacketsDelivered, int64(res.Delivered))
-		st.tel.Add(telemetry.PacketsStuck, int64(res.Stuck))
-		st.tel.Add(telemetry.PacketsLost, int64(res.Lost))
-		st.tel.Add(telemetry.ChurnFailures, int64(res.Failures))
-		st.tel.Add(telemetry.ChurnRepairs, int64(res.Repairs))
-		st.tel.Add(telemetry.ChurnFailedNodes, int64(res.FailedNodes))
-		st.tel.Add(telemetry.ChurnRepairedNodes, int64(res.RepairedNodes))
-		res.Telemetry = st.tel
-	}
-	if st.trace != nil {
-		st.trace.Close()
-		res.Traces = st.trace.Traces()
-	}
-	return res
-}
-
-// Derivation salts for the churn timeline's seed streams, disjoint from the
-// per-node (dense IDs), policy (1<<40), fault-event (1<<32+i) and injector
-// (1<<48) streams.
-const (
-	churnProgramSalt = uint64(1) << 41
-	churnPlaceSalt   = uint64(1) << 42
-	// traceSalt keys the packet-trace sampling stream (telemetry).
-	traceSalt = uint64(1) << 43
-)
-
 // applyFaults pushes freshly placed faults through the model's incremental
 // path (or a wholesale invalidation) and flushes the cached provider table.
 func (st *run) applyFaults(placed []grid.Point) {
@@ -458,79 +317,14 @@ func (st *run) applyFaults(placed []grid.Point) {
 	st.provs = [8]provEntry{}
 }
 
-// churnStep executes one materialised timeline step: place a failure group or
-// repair one, push the change through the model's incremental path, and close
-// the current measurement phase.
-func (st *run) churnStep(net *simnet.Network, stp fault.Step, placeRng *rng.Rand) {
-	now := net.Now()
-	if stp.Repair {
-		pts := st.groups[stp.Group]
-		if len(pts) == 0 {
-			return // the failure placed nothing (saturated mesh)
-		}
-		st.groups[stp.Group] = nil
-		st.e.mesh.RemoveFaults(pts...)
-		if fr, ok := st.model.(FaultRepairer); ok {
-			fr.RepairFaults(pts)
-		} else {
-			st.model.Invalidate()
-		}
-		st.provs = [8]provEntry{}
-		st.res.Repairs++
-		st.res.RepairedNodes += len(pts)
-		// Restart the injection clock of every repaired node whose pending
-		// timer was dropped while it was faulty (delivery tick strictly in
-		// the past); a timer still in flight keeps the chain alive on its
-		// own. A timer landing on the repair tick itself is never dropped —
-		// churn callbacks were enqueued at setup, so they run before any
-		// same-tick timer and the node is healthy by the time it delivers —
-		// hence the strict comparison (<= would arm a second chain).
-		for _, p := range pts {
-			id := st.e.mesh.ID(p)
-			if st.nextInject[id] < now {
-				st.scheduleInjection(net.ContextOf(id))
-			}
-		}
+// repairFaults is applyFaults for nodes the churn timeline just restored.
+func (st *run) repairFaults(pts []grid.Point) {
+	if fr, ok := st.model.(FaultRepairer); ok {
+		fr.RepairFaults(pts)
 	} else {
-		placed := stp.Inject.Inject(st.e.mesh, placeRng)
-		if len(placed) == 0 {
-			return
-		}
-		st.groups[stp.Group] = placed
-		st.applyFaults(placed)
-		st.res.Failures++
-		st.res.FailedNodes += len(placed)
+		st.model.Invalidate()
 	}
-	st.closePhase(now)
-}
-
-// closePhase ends the open measurement phase at a churn event. Events at or
-// before the warmup only rebase the first phase's healthy count; events at or
-// past the horizon leave the final phase open (it closes when the run ends).
-func (st *run) closePhase(now simnet.Time) {
-	healthy := st.e.mesh.NodeCount() - st.e.mesh.FaultCount()
-	if now <= st.e.opts.Warmup {
-		st.phaseHealthy = healthy
-		return
-	}
-	if now >= st.horizon {
-		return
-	}
-	if now == st.phaseStart {
-		// A second churn event on the same tick: merge the boundaries — the
-		// next phase starts from the combined post-event state instead of
-		// recording a zero-length phase.
-		st.phaseHealthy = healthy
-		return
-	}
-	st.phases = append(st.phases, PhaseStat{
-		Start: st.phaseStart, End: now, Healthy: st.phaseHealthy,
-		Delivered: st.phaseDelivered, LatencySum: st.phaseLatSum,
-	})
-	st.phaseStart = now
-	st.phaseHealthy = healthy
-	st.phaseDelivered = 0
-	st.phaseLatSum = 0
+	st.provs = [8]provEntry{}
 }
 
 // Init implements simnet.Handler: every healthy node schedules its first
@@ -627,14 +421,13 @@ func (st *run) inject(ctx *simnet.Context) {
 // node IDs end to end with no ID→Point→ID round-trip; for built-in providers
 // it is one CandidateMaskID call — an epoch compare plus at most three bit
 // probes into the destination's memoised field while the fault epoch is
-// stable — with CandidateDirsID (per-direction AllowedID) and the Point-based
-// CandidateDirs as the fallbacks for third-party providers.
+// stable — with the Point-based CandidateDirs as the fallback for third-party
+// providers.
 func (st *run) forward(ctx *simnet.Context, ref int32) {
 	pk := &st.pool[ref]
 	pe := &st.provs[pk.orient.Index()]
 	if pe.prov == nil {
 		pe.prov = st.model.Provider(pk.orient)
-		pe.id, pe.fast = pe.prov.(routing.IDProvider)
 		pe.dec, pe.masked = pe.prov.(routing.DecisionProvider)
 	}
 	self := ctx.Self()
@@ -647,13 +440,10 @@ func (st *run) forward(ctx *simnet.Context, ref int32) {
 		builds0 = st.tel.Get(telemetry.FieldColdBuilds) + st.tel.Get(telemetry.FieldRebuilds) + st.tel.Get(telemetry.DecisionBuilds)
 		dhits0 = st.tel.Get(telemetry.DecisionHits)
 	}
-	switch {
-	case pe.masked:
+	if pe.masked {
 		mk := pe.dec.CandidateMaskID(ctx.Mesh(), ctx.SelfID(), self, pk.dstID, pk.dst)
 		st.dirs = routing.AppendMaskDirs(st.dirs[:0], mk)
-	case pe.fast:
-		st.dirs = routing.CandidateDirsID(ctx.Mesh(), pe.id, pk.orient, ctx.SelfID(), self, pk.dstID, pk.dst, st.dirs[:0])
-	default:
+	} else {
 		st.dirs = routing.CandidateDirs(ctx.Mesh(), pe.prov, pk.orient, self, pk.dst, st.dirs[:0])
 	}
 	if len(st.dirs) == 0 {
@@ -669,7 +459,7 @@ func (st *run) forward(ctx *simnet.Context, ref int32) {
 	if traced {
 		src := telemetry.HopDirect
 		switch {
-		case !pe.fast && !pe.masked:
+		case !pe.masked:
 			src = telemetry.HopFallback
 		case st.tel.Get(telemetry.DecisionHits) > dhits0:
 			src = telemetry.HopDecisionHit
@@ -695,10 +485,8 @@ func (st *run) deliver(ctx *simnet.Context, ref int32) {
 		lat := ctx.Time() - pk.inject
 		st.res.Latency.Add(int(lat))
 		st.res.Hops.Add(pk.hops)
-		if st.phases != nil {
-			st.phaseDelivered++
-			st.phaseLatSum += int64(lat)
-		}
+		st.phaseDelivered++
+		st.phaseLatSum += int64(lat)
 	}
 	st.release(ref)
 }
