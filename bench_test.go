@@ -1,15 +1,17 @@
 package mccmesh
 
 // Benchmarks regenerating every figure and evaluation table of the paper, one
-// benchmark per artifact of the DESIGN.md §4 index. The table benchmarks
-// (BenchmarkTableE*) run reduced sweeps; `mcc bench` runs the full ones.
+// benchmark per artifact of the E1–E7 index in specs/README.md. The table
+// benchmarks (BenchmarkTable/eK) run reduced sweeps; `mcc run -spec
+// specs/eK.json` runs the full ones.
 
 import (
+	"context"
+	"os"
 	"testing"
 
 	"mccmesh/internal/block"
 	"mccmesh/internal/core"
-	"mccmesh/internal/experiments"
 	"mccmesh/internal/fault"
 	"mccmesh/internal/feasibility"
 	"mccmesh/internal/grid"
@@ -19,6 +21,7 @@ import (
 	"mccmesh/internal/region"
 	"mccmesh/internal/rng"
 	"mccmesh/internal/routing"
+	"mccmesh/internal/scenario"
 	"mccmesh/internal/traffic"
 )
 
@@ -164,68 +167,38 @@ func BenchmarkBlockBaseline3D(b *testing.B) {
 
 // --- Evaluation-table benchmarks ---------------------------------------------
 
-func benchConfig() experiments.Config {
-	cfg := experiments.DefaultConfig()
-	cfg.Dim = 8
-	cfg.FaultCounts = []int{10, 30}
-	cfg.Trials = 3
-	cfg.Pairs = 3
-	return cfg
-}
-
-// BenchmarkTableE1 regenerates table E1 (healthy nodes absorbed by fault
-// regions, MCC vs RFB) on a reduced sweep.
-func BenchmarkTableE1(b *testing.B) {
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.E1NonFaultyInclusion(cfg)
-	}
-}
-
-// BenchmarkTableE2 regenerates table E2 (minimal-routing success rate per
-// information model) on a reduced sweep.
-func BenchmarkTableE2(b *testing.B) {
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.E2SuccessRate(cfg)
-	}
-}
-
-// BenchmarkTableE3 regenerates table E3 (success rate vs distance).
-func BenchmarkTableE3(b *testing.B) {
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.E3SuccessByDistance(cfg, 30)
-	}
-}
-
-// BenchmarkTableE4 regenerates table E4 (information-model message overhead).
-func BenchmarkTableE4(b *testing.B) {
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.E4MessageOverhead(cfg)
-	}
-}
-
-// BenchmarkTableE5 regenerates table E5 (region-size ablation).
-func BenchmarkTableE5(b *testing.B) {
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.E5RegionAblation(cfg)
-	}
-}
-
-// BenchmarkTableE6 regenerates table E6 (routing adaptivity).
-func BenchmarkTableE6(b *testing.B) {
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiments.E6Adaptivity(cfg, 30)
+// BenchmarkTable regenerates each evaluation table E1–E6 from its canonical
+// spec (specs/eK.json), reduced to an 8-ary cube, 3 trials of 3 pairs and
+// fault counts 10 and 30 (30 alone for the single-count E3 and E6).
+func BenchmarkTable(b *testing.B) {
+	for _, name := range []string{"e1", "e2", "e3", "e4", "e5", "e6"} {
+		b.Run(name, func(b *testing.B) {
+			f, err := os.Open("specs/" + name + ".json")
+			if err != nil {
+				b.Fatal(err)
+			}
+			sc, err := scenario.Load(f)
+			f.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+			spec := sc.Spec()
+			spec.Mesh, spec.Trials, spec.Measure.Pairs = scenario.Cube(8), 3, 3
+			if len(spec.Faults.Counts) == 1 {
+				spec.Faults.Counts = []int{30}
+			} else {
+				spec.Faults.Counts = []int{10, 30}
+			}
+			if sc, err = scenario.New(spec); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sc.Run(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

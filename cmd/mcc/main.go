@@ -7,7 +7,8 @@
 //
 //	mcc run -spec specs/smoke.json -workers 8
 //	mcc run -measure absorption -dim 10 -faults 10,50,100
-//	mcc bench -exp e7 -dump-spec > e7.json
+//	mcc run -spec specs/e2.json -csv
+//	mcc bench -json BENCH_traffic.json
 //	mcc list
 package main
 

@@ -5,7 +5,7 @@
 // checked-in JSON file.
 //
 //	mcc run    — run a scenario (traffic sweep or any e1..e7 measure)
-//	mcc bench  — the evaluation tables E1–E7 (mccbench)
+//	mcc bench  — the event-core benchmark (BENCH_traffic.json)
 //	mcc sim    — one routing scenario end to end (mccsim)
 //	mcc proto  — message costs of the distributed protocols (mccproto)
 //	mcc viz    — ASCII rendering of fault configurations (mccviz)
@@ -75,7 +75,7 @@ Usage:
 
 Subcommands:
   run     run a scenario: a traffic sweep or any measure, from flags or -spec
-  bench   regenerate the evaluation tables E1..E7
+  bench   run the event-core benchmark (-json); the tables E1..E7 are specs/eK.json
   sim     route one fault configuration end to end, model by model
   proto   message costs of the distributed protocols
   viz     render a fault configuration (and a route) as ASCII art

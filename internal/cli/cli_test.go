@@ -45,33 +45,60 @@ func TestListShowsRegistries(t *testing.T) {
 	}
 }
 
-// TestBenchDumpSpecRoundTrip is the CLI half of the reproducibility
-// guarantee: `bench -exp e7 -dump-spec` piped into `run -spec` yields the
-// same table as running the experiment directly, at any worker count.
-func TestBenchDumpSpecRoundTrip(t *testing.T) {
-	benchArgs := []string{"bench", "-exp", "e7", "-dim", "6", "-trials", "2", "-faults", "8", "-csv"}
-	code, direct, errOut := capture(t, benchArgs...)
-	if code != 0 {
-		t.Fatalf("bench failed: %s", errOut)
-	}
-
-	code, spec, errOut := capture(t, "bench", "-exp", "e7", "-dim", "6", "-trials", "2", "-faults", "8", "-dump-spec")
-	if code != 0 {
-		t.Fatalf("dump-spec failed: %s", errOut)
-	}
-	path := filepath.Join(t.TempDir(), "e7.json")
-	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+// writeTinyBenchSpec writes a one-cell bench-measure spec into dir and
+// returns its path.
+func writeTinyBenchSpec(t *testing.T, dir string) string {
+	t.Helper()
+	spec := filepath.Join(dir, "bench.json")
+	if err := os.WriteFile(spec, []byte(`{
+  "name": "tiny-bench",
+  "mesh": {"x": 5, "y": 5, "z": 5},
+  "faults": {"inject": "uniform", "counts": [5]},
+  "model": "local",
+  "workload": {"patterns": "uniform", "rates": [0.05]},
+  "measure": {"kind": "bench", "warmup": 5, "window": 40},
+  "seed": 3,
+  "trials": 1
+}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return spec
+}
 
-	for _, workers := range []string{"1", "5"} {
-		code, out, errOut := capture(t, "run", "-spec", path, "-csv", "-workers", workers)
-		if code != 0 {
-			t.Fatalf("run -spec (workers=%s) failed: %s", workers, errOut)
-		}
-		if out != direct {
-			t.Errorf("run -spec (workers=%s) differs from bench:\n--- bench\n%s\n--- run\n%s", workers, direct, out)
-		}
+// TestBenchDumpSpecRoundTrip: `bench -json -spec f -dump-spec` prints the
+// canonical benchmark spec without running it, and the dump loads back to
+// the same bytes, so a dumped benchmark describes exactly the run it came
+// from.
+func TestBenchDumpSpecRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "BENCH_traffic.json")
+	code, dumped, errOut := capture(t, "bench", "-spec", writeTinyBenchSpec(t, dir), "-json", out, "-dump-spec")
+	if code != 0 || !strings.Contains(dumped, `"kind": "bench"`) {
+		t.Fatalf("dump-spec failed: %d %q %q", code, dumped, errOut)
+	}
+	path := filepath.Join(dir, "dumped.json")
+	if err := os.WriteFile(path, []byte(dumped), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, again, errOut := capture(t, "bench", "-spec", path, "-json", out, "-dump-spec"); code != 0 || again != dumped {
+		t.Errorf("dumped spec is not byte-stable: %d %q\n--- first\n%s--- second\n%s", code, errOut, dumped, again)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("-dump-spec ran the benchmark (results file present, err=%v)", err)
+	}
+}
+
+// TestBenchNeedsJSON: bench only runs the event-core benchmark; without -json
+// it points at the spec files that hold the evaluation tables, and the old
+// table flags are gone.
+func TestBenchNeedsJSON(t *testing.T) {
+	code, _, errOut := capture(t, "bench")
+	if code != 2 || !strings.Contains(errOut, "mcc run -spec specs/eK.json") {
+		t.Errorf("bench without -json: code=%d err=%q", code, errOut)
+	}
+	code, _, errOut = capture(t, "bench", "-exp", "e1")
+	if code != 2 || !strings.Contains(errOut, "-exp") {
+		t.Errorf("bench -exp should be an unknown flag: code=%d err=%q", code, errOut)
 	}
 }
 
@@ -107,15 +134,9 @@ func TestRunRejectsFlagSpecConflict(t *testing.T) {
 	if code != 2 || !strings.Contains(errOut, "cannot be combined with -spec") {
 		t.Errorf("run conflict not rejected: %d %q", code, errOut)
 	}
-	// bench must hold the same line: a silently ignored -trials would
-	// misreport what ran.
-	code, _, errOut = capture(t, "bench", "-spec", path, "-trials", "100")
-	if code != 2 || !strings.Contains(errOut, "cannot be combined with -spec") {
-		t.Errorf("bench conflict not rejected: %d %q", code, errOut)
-	}
 	// -workers/-csv are execution knobs, not scenario content: allowed.
-	if code, _, errOut = capture(t, "bench", "-spec", path, "-workers", "2", "-csv"); code != 0 {
-		t.Errorf("bench -spec -workers should run: %d %q", code, errOut)
+	if code, _, errOut = capture(t, "run", "-spec", path, "-workers", "2", "-csv"); code != 0 {
+		t.Errorf("run -spec -workers should run: %d %q", code, errOut)
 	}
 }
 
@@ -180,19 +201,7 @@ func TestSimClusteredSetup(t *testing.T) {
 
 func TestBenchJSONWritesBenchFile(t *testing.T) {
 	dir := t.TempDir()
-	spec := filepath.Join(dir, "bench.json")
-	if err := os.WriteFile(spec, []byte(`{
-  "name": "tiny-bench",
-  "mesh": {"x": 5, "y": 5, "z": 5},
-  "faults": {"inject": "uniform", "counts": [5]},
-  "model": "local",
-  "workload": {"patterns": "uniform", "rates": [0.05]},
-  "measure": {"kind": "bench", "warmup": 5, "window": 40},
-  "seed": 3,
-  "trials": 1
-}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	spec := writeTinyBenchSpec(t, dir)
 	out := filepath.Join(dir, "BENCH_traffic.json")
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
@@ -285,19 +294,7 @@ func TestRunTelemetryOutputs(t *testing.T) {
 // more than 10% below it; the delta step must fail the run.
 func TestBenchBaselineGatesEventsRate(t *testing.T) {
 	dir := t.TempDir()
-	spec := filepath.Join(dir, "bench.json")
-	if err := os.WriteFile(spec, []byte(`{
-  "name": "tiny-bench",
-  "mesh": {"x": 5, "y": 5, "z": 5},
-  "faults": {"inject": "uniform", "counts": [5]},
-  "model": "local",
-  "workload": {"patterns": "uniform", "rates": [0.05]},
-  "measure": {"kind": "bench", "warmup": 5, "window": 40},
-  "seed": 3,
-  "trials": 1
-}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	spec := writeTinyBenchSpec(t, dir)
 	out := filepath.Join(dir, "bench-out.json")
 	if code, _, errOut := capture(t, "bench", "-spec", spec, "-json", out); code != 0 {
 		t.Fatalf("bench -json failed: %s", errOut)

@@ -1,247 +1,125 @@
+// Package experiments holds the checks on the paper's evaluation tables as
+// they are shipped: the checked-in specs/e1.json … e7.json, loaded through
+// the same path `mcc run -spec` uses. The tables have no code of their own;
+// every measure runs in internal/scenario, whose tests pin each table's
+// output to a golden.
 package experiments
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"os"
-	"strconv"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mccmesh/internal/scenario"
 )
 
-// tinyConfig keeps the sweeps fast enough for the unit-test suite while still
-// exercising every code path.
-func tinyConfig() Config {
-	return Config{
-		Dim:         7,
-		FaultCounts: []int{5, 20},
-		Trials:      4,
-		Pairs:       4,
-		MinDistance: 6,
-		Seed:        99,
-	}
-}
-
-func parsePct(t *testing.T, cell string) float64 {
+// loadTable loads specs/<name>.json.
+func loadTable(t *testing.T, name string) scenario.Spec {
 	t.Helper()
-	v, err := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
-	if err != nil {
-		t.Fatalf("cell %q is not a percentage", cell)
-	}
-	return v
-}
-
-func parseF(t *testing.T, cell string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(cell, 64)
-	if err != nil {
-		t.Fatalf("cell %q is not a number", cell)
-	}
-	return v
-}
-
-func TestE1ShapeAndClaim(t *testing.T) {
-	tab := E1NonFaultyInclusion(tinyConfig())
-	if len(tab.Rows) != 2 {
-		t.Fatalf("expected one row per fault count, got %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		mcc := parseF(t, row[2])
-		rfb := parseF(t, row[4])
-		rule := parseF(t, row[5])
-		// The paper's headline claim: the MCC model absorbs no more healthy
-		// nodes than either rectangular-block baseline.
-		if mcc > rfb+1e-9 {
-			t.Errorf("MCC (%v) absorbed more than RFB (%v)", mcc, rfb)
-		}
-		if mcc > rule+1e-9 {
-			t.Errorf("MCC (%v) absorbed more than the rule-based blocks (%v)", mcc, rule)
-		}
-	}
-}
-
-func TestE2ShapeAndClaim(t *testing.T) {
-	tab := E2SuccessRate(tinyConfig())
-	if len(tab.Rows) != 2 {
-		t.Fatalf("expected 2 rows, got %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		mcc := parsePct(t, row[1])
-		rfb := parsePct(t, row[2])
-		optimal := parsePct(t, row[6])
-		if mcc < rfb-1e-9 {
-			t.Errorf("MCC success (%v%%) below RFB success (%v%%)", mcc, rfb)
-		}
-		if mcc > optimal+1e-9 {
-			t.Errorf("MCC success (%v%%) above the optimum (%v%%)", mcc, optimal)
-		}
-		// The MCC model is exactly optimal (ultimacy); allow a tiny slack for
-		// the percentage formatting.
-		if optimal-mcc > 0.11 {
-			t.Errorf("MCC success (%v%%) should match the optimum (%v%%)", mcc, optimal)
-		}
-	}
-}
-
-func TestE3Shape(t *testing.T) {
-	tab := E3SuccessByDistance(tinyConfig(), 15)
-	if len(tab.Rows) != 4 {
-		t.Fatalf("expected 4 distance buckets, got %d", len(tab.Rows))
-	}
-}
-
-func TestE4MessageOverhead(t *testing.T) {
-	tab := E4MessageOverhead(tinyConfig())
-	if len(tab.Rows) != 2 {
-		t.Fatalf("expected 2 rows, got %d", len(tab.Rows))
-	}
-	// More faults must not need fewer boundary messages on average... this is
-	// stochastic, so only check the cells parse and the heavier row has some
-	// traffic.
-	heavy := tab.Rows[1]
-	if parseF(t, heavy[2]) <= 0 {
-		t.Error("identification messages should be positive with 20 faults")
-	}
-	if parseF(t, heavy[3]) <= 0 {
-		t.Error("boundary messages should be positive with 20 faults")
-	}
-	if parseF(t, heavy[5]) <= 0 {
-		t.Error("some nodes should hold records with 20 faults")
-	}
-}
-
-func TestE5Ablation(t *testing.T) {
-	tab := E5RegionAblation(tinyConfig())
-	for _, row := range tab.Rows {
-		safe := parseF(t, row[1])
-		blocked := parseF(t, row[2])
-		if safe > blocked+1e-9 {
-			t.Errorf("border-safe labelling (%v) absorbed more than border-blocked (%v)", safe, blocked)
-		}
-	}
-}
-
-func TestE6Adaptivity(t *testing.T) {
-	tab := E6Adaptivity(tinyConfig(), 15)
-	if len(tab.Rows) != 3 {
-		t.Fatalf("expected 3 metric rows, got %d", len(tab.Rows))
-	}
-	free := parseF(t, tab.Rows[0][1])
-	mcc := parseF(t, tab.Rows[0][2])
-	rfb := parseF(t, tab.Rows[0][3])
-	if mcc > free+1e-9 {
-		t.Errorf("MCC path count (%v) exceeds the fault-free count (%v)", mcc, free)
-	}
-	if rfb > mcc+1e-9 {
-		t.Errorf("RFB path count (%v) exceeds the MCC count (%v); the coarser model cannot preserve more paths", rfb, mcc)
-	}
-}
-
-// tinyTrafficConfig keeps E7 fast for the unit-test suite.
-func tinyTrafficConfig() TrafficConfig {
-	return TrafficConfig{
-		Patterns: []string{"uniform", "transpose", "hotspot"},
-		Models:   []string{"mcc", "rfb"},
-		Rates:    []float64{0.01, 0.03},
-		Faults:   12,
-		Trials:   3,
-		Warmup:   20,
-		Window:   80,
-		Workers:  1,
-	}
-}
-
-func TestE7ShapeAndSanity(t *testing.T) {
-	tab, err := E7Throughput(tinyConfig(), tinyTrafficConfig())
+	f, err := os.Open("../../specs/" + name + ".json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := tinyTrafficConfig()
-	want := len(tc.Patterns) * len(tc.Models) * len(tc.Rates)
-	if len(tab.Rows) != want {
-		t.Fatalf("expected %d rows (patterns x models x rates), got %d", want, len(tab.Rows))
+	defer f.Close()
+	sc, err := scenario.Load(f)
+	if err != nil {
+		t.Fatalf("specs/%s.json: %v", name, err)
 	}
-	for _, row := range tab.Rows {
-		delivered := parsePct(t, row[3])
-		if delivered <= 0 || delivered > 100 {
-			t.Errorf("row %v: delivered ratio %v%% out of range", row[:3], delivered)
+	return sc.Spec()
+}
+
+// lightE7 is specs/e7.json at a fault load where every cell delivers and a
+// trial count that keeps the sweep fast.
+func lightE7(t *testing.T) scenario.Spec {
+	spec := loadTable(t, "e7")
+	spec.Faults.Counts, spec.Trials = []int{12}, 3
+	return spec
+}
+
+// TestDefaultConfig pins the settings the paper's tables run at: a 10×10×10
+// mesh (the evaluation is on 3-D meshes), table EK drawing from seed stream
+// 20050500+K−1, 75 faults for the single-load tables E3/E6/E7, and a
+// distance floor of 2 for E3.
+func TestDefaultConfig(t *testing.T) {
+	kinds := []string{"absorption", "success", "distance", "overhead", "ablation", "adaptivity", "traffic"}
+	for k, kind := range kinds {
+		name := fmt.Sprintf("e%d", k+1)
+		spec := loadTable(t, name)
+		if spec.Mesh != scenario.Cube(10) {
+			t.Errorf("%s: mesh %+v, want the 10x10x10 evaluation mesh", name, spec.Mesh)
 		}
-		throughput := parseF(t, row[4])
-		rate := parseF(t, row[2])
-		if throughput <= 0 || throughput > rate*1.5 {
-			t.Errorf("row %v: throughput %v implausible for rate %v", row[:3], throughput, rate)
+		if want := uint64(20050500 + k); spec.Seed != want {
+			t.Errorf("%s: seed %d, want the historical stream %d", name, spec.Seed, want)
 		}
-		p50, p95, p99 := parseF(t, row[6]), parseF(t, row[7]), parseF(t, row[8])
-		if p50 > p95 || p95 > p99 {
-			t.Errorf("row %v: percentiles not monotone: %v %v %v", row[:3], p50, p95, p99)
+		if spec.Measure.Kind != kind {
+			t.Errorf("%s: measure %q, want %q", name, spec.Measure.Kind, kind)
 		}
+		if len(spec.Faults.Counts) == 0 || spec.Trials <= 0 {
+			t.Errorf("%s: incomplete sweep: counts %v, trials %d", name, spec.Faults.Counts, spec.Trials)
+		}
+		if k == 2 || k >= 5 {
+			if !reflect.DeepEqual(spec.Faults.Counts, []int{75}) {
+				t.Errorf("%s: fault counts %v, want [75]", name, spec.Faults.Counts)
+			}
+		}
+	}
+	if d := loadTable(t, "e3").Measure.MinDistance; d != 2 {
+		t.Errorf("e3: mindistance %d, want 2", d)
 	}
 }
 
+// TestE7BitIdenticalAcrossWorkerCounts: trial-level parallelism must not
+// change a single byte of the E7 table.
 func TestE7BitIdenticalAcrossWorkerCounts(t *testing.T) {
-	cfg := tinyConfig()
-	tc := tinyTrafficConfig()
-	tc.Workers = 1
-	serial, err := E7Throughput(cfg, tc)
-	if err != nil {
-		t.Fatal(err)
+	var csv [2]string
+	for i, workers := range []int{1, 8} {
+		spec := lightE7(t)
+		spec.SetWorkers(workers)
+		sc, err := scenario.New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sc.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		csv[i] = rep.Table.CSV()
 	}
-	tc.Workers = 8
-	parallel, err := E7Throughput(cfg, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.CSV() != parallel.CSV() {
-		t.Errorf("E7 tables differ between 1 and 8 workers:\n--- 1 worker\n%s\n--- 8 workers\n%s", serial.CSV(), parallel.CSV())
+	if csv[0] != csv[1] {
+		t.Errorf("E7 tables differ between 1 and 8 workers:\n--- 1 worker\n%s\n--- 8 workers\n%s", csv[0], csv[1])
 	}
 }
 
+// TestE7RejectsUnknownNames: a misspelt traffic pattern or routing model in
+// the E7 spec fails at construction, naming the offender.
 func TestE7RejectsUnknownNames(t *testing.T) {
-	cfg := tinyConfig()
-	tc := tinyTrafficConfig()
-	tc.Patterns = []string{"nope"}
-	if _, err := E7Throughput(cfg, tc); err == nil {
-		t.Error("unknown pattern should error")
-	}
-	tc = tinyTrafficConfig()
-	tc.Models = []string{"nope"}
-	if _, err := E7Throughput(cfg, tc); err == nil {
-		t.Error("unknown model should error")
-	}
-}
-
-func TestRunAll(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Trials = 2
-	cfg.Pairs = 2
-	tables := RunAll(cfg)
-	if len(tables) != 7 {
-		t.Fatalf("RunAll returned %d tables, want 7", len(tables))
-	}
-	for _, tab := range tables {
-		if tab.Title == "" || len(tab.Columns) == 0 || len(tab.Rows) == 0 {
-			t.Errorf("table %q looks empty", tab.Title)
-		}
-		if !strings.Contains(tab.Render(), tab.Columns[0]) {
-			t.Errorf("table %q render missing its header", tab.Title)
+	for _, tc := range []struct {
+		what string
+		edit func(*scenario.Spec)
+	}{
+		{"pattern", func(s *scenario.Spec) { s.Workload.Patterns = scenario.ComponentsOf("nope") }},
+		{"model", func(s *scenario.Spec) { s.Models = scenario.ComponentsOf("mcc", "nope") }},
+	} {
+		spec := lightE7(t)
+		tc.edit(&spec)
+		_, err := scenario.New(spec)
+		if err == nil {
+			t.Errorf("unknown %s should error", tc.what)
+		} else if !strings.Contains(err.Error(), "nope") {
+			t.Errorf("unknown %s: error %q does not name it", tc.what, err)
 		}
 	}
 }
 
-// TestE7SpecMatchesCheckedInFile pins specs/e7.json to the spec `mcc bench
-// -exp e7 -dump-spec` produces with default flags, so the checked-in file is
-// guaranteed to reproduce the E7 table.
+// TestE7SpecMatchesCheckedInFile: specs/e7.json is in the canonical form
+// `-dump-spec` writes, so what `mcc run -spec specs/e7.json -dump-spec`
+// prints is the file itself and its digest names exactly what runs.
 func TestE7SpecMatchesCheckedInFile(t *testing.T) {
-	cfg := DefaultConfig()
-	tc := DefaultTrafficConfig()
-	tc.Faults = cfg.FaultCounts[len(cfg.FaultCounts)/2]
-	tc.Trials = cfg.Trials
-	spec, err := SpecFor("e7", cfg, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := scenario.New(spec)
+	sc, err := scenario.New(loadTable(t, "e7"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,66 +132,6 @@ func TestE7SpecMatchesCheckedInFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	if buf.String() != string(checkedIn) {
-		t.Errorf("specs/e7.json is stale; regenerate with `mcc bench -exp e7 -dump-spec`.\n--- code\n%s\n--- file\n%s", buf.String(), checkedIn)
-	}
-}
-
-// TestSpecForRejectsUnknownExperiment keeps the bench -dump-spec error path
-// actionable.
-func TestSpecForRejectsUnknownExperiment(t *testing.T) {
-	if _, err := SpecFor("e9", DefaultConfig(), DefaultTrafficConfig()); err == nil {
-		t.Error("unknown experiment should error")
-	}
-	spec, err := SpecFor("e1", tinyConfig(), DefaultTrafficConfig())
-	if err != nil || spec.Measure.Kind != scenario.MeasureAbsorption {
-		t.Errorf("e1 alias: %v %v", spec.Measure.Kind, err)
-	}
-	if spec.Seed != tinyConfig().Seed {
-		t.Errorf("e1 spec seed %d, want the unshifted config seed %d", spec.Seed, tinyConfig().Seed)
-	}
-}
-
-func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.Dim <= 0 || len(cfg.FaultCounts) == 0 || cfg.Trials <= 0 {
-		t.Error("default config incomplete")
-	}
-	if cfg.TwoD {
-		t.Error("the paper's evaluation is on 3-D meshes")
-	}
-}
-
-func TestClusteredWorkload(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Clustered = true
-	cfg.ClusterSize = 4
-	cfg.FaultCounts = []int{16}
-	cfg.Trials = 3
-	tab := E1NonFaultyInclusion(cfg)
-	if !strings.Contains(tab.Title, "clustered") {
-		t.Errorf("title should mention the clustered workload: %q", tab.Title)
-	}
-	if len(tab.Rows) != 1 {
-		t.Fatal("expected one row")
-	}
-	// Clustered faults form larger regions; the MCC column must still not
-	// exceed the RFB column.
-	if parseF(t, tab.Rows[0][2]) > parseF(t, tab.Rows[0][4])+1e-9 {
-		t.Error("MCC absorbed more than RFB under clustered faults")
-	}
-}
-
-func TestConfig2D(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.TwoD = true
-	cfg.FaultCounts = []int{4}
-	cfg.Trials = 2
-	cfg.Pairs = 2
-	tab := E1NonFaultyInclusion(cfg)
-	if len(tab.Rows) != 1 {
-		t.Fatal("2-D sweep should produce one row")
-	}
-	if !strings.Contains(tab.Title, "7x7 ") {
-		t.Errorf("2-D title should mention the 7x7 mesh: %q", tab.Title)
+		t.Errorf("specs/e7.json is not in canonical form; regenerate with `mcc run -spec specs/e7.json -dump-spec`.\n--- dumped\n%s\n--- file\n%s", buf.String(), checkedIn)
 	}
 }

@@ -238,14 +238,22 @@ func measureSuccess(ctx context.Context, sc *Scenario) (*Report, error) {
 				greedy.AddBool(routing.New(m, routing.LocalGreedy{}, nil).Route(s, d).Succeeded())
 			}
 		}
+		// Every pair feeds every summary, so a cell where no pair met the
+		// distance floor has no rate at all; 0.0% would read as total failure.
+		cell := func(s *stats.Summary) string {
+			if s.N() == 0 {
+				return "n/a"
+			}
+			return stats.Pct(s.Mean())
+		}
 		row := []string{
 			sc.faultLabel(n),
-			stats.Pct(mcc.Mean()),
-			stats.Pct(rfb.Mean()),
-			stats.Pct(rule.Mean()),
-			stats.Pct(labelsOnly.Mean()),
-			stats.Pct(greedy.Mean()),
-			stats.Pct(optimal.Mean()),
+			cell(&mcc),
+			cell(&rfb),
+			cell(&rule),
+			cell(&labelsOnly),
+			cell(&greedy),
+			cell(&optimal),
 		}
 		t.AddRow(row...)
 		rep.Cells = append(rep.Cells, Cell{

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -595,26 +594,9 @@ func TestOptionsBuildScenario(t *testing.T) {
 // stay loadable, and the smoke spec must reproduce identically across worker
 // counts through the exact path `mcc run -spec` uses.
 func TestCheckedInSpecsLoad(t *testing.T) {
-	load := func(path string, workers int) *Scenario {
-		t.Helper()
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		sc, err := Load(f)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		spec := sc.Spec()
-		spec.Workers = workers
-		return mustNew(t, spec)
-	}
-
-	// e7.json is the canonical default E7 experiment; running it takes
-	// minutes, so assert its shape rather than its table.
-	e7 := load("../../specs/e7.json", 0)
-	spec := e7.Spec()
+	// e7.json is the canonical default E7 experiment; TestE7GoldenOutput runs
+	// it in full (~4 s per sweep), so here assert only its shape.
+	spec := loadSpecFile(t, "e7.json")
 	if spec.Measure.Kind != MeasureTraffic || spec.Mesh != Cube(10) || spec.Trials != 30 {
 		t.Errorf("specs/e7.json drifted from the canonical E7 config: %+v", spec)
 	}
@@ -623,8 +605,12 @@ func TestCheckedInSpecsLoad(t *testing.T) {
 	}
 
 	// smoke.json is small enough to run: identical tables at 1 and 8 workers.
-	repA := mustRun(t, load("../../specs/smoke.json", 1))
-	repB := mustRun(t, load("../../specs/smoke.json", 8))
+	smoke := func(workers int) *Report {
+		spec := loadSpecFile(t, "smoke.json")
+		spec.SetWorkers(workers)
+		return mustRun(t, mustNew(t, spec))
+	}
+	repA, repB := smoke(1), smoke(8)
 	if repA.Table.CSV() != repB.Table.CSV() {
 		t.Errorf("specs/smoke.json not worker-count invariant:\n%s\n%s", repA.Table.CSV(), repB.Table.CSV())
 	}
